@@ -16,11 +16,13 @@ bench:
 	dune exec bench/main.exe
 
 # Machine-readable baseline: every experiment + the microbenchmarks, written
-# to BENCH_<rev>.json (schema documented in EXPERIMENTS.md).  Commit the file
-# to give the next performance PR a before/after datapoint.
+# to BENCH_<rev>.json (schema documented in EXPERIMENTS.md) and checked by
+# the CI gates.  Commit the file to give the next performance PR a
+# before/after datapoint.
 bench-json:
 	REV=$$(git rev-parse --short HEAD) && \
-	BENCH_REV=$$REV dune exec bench/main.exe -- --json BENCH_$$REV.json
+	BENCH_REV=$$REV dune exec bench/main.exe -- --json BENCH_$$REV.json && \
+	BENCH_REV=$$REV dune exec bench/main.exe -- check BENCH_$$REV.json
 
 # Online tree-health telemetry demo: sparsify a tree, reorganize it, and
 # print the sampled utilization/fragmentation series with watch fires.

@@ -7,6 +7,7 @@
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1 swaps recovery
      dune exec bench/main.exe micro      # microbenchmarks only
+     dune exec bench/main.exe check F    # the CI gates on a --json baseline
 
    --trace FILE and/or --metrics run an instrumented canonical scenario
    (aged tree, concurrent users) and emit a Chrome trace_event timeline /
@@ -202,203 +203,37 @@ let micro () =
 (* Machine-readable baseline (--json FILE)                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Schema: one BENCH_<rev>.json per revision, committed next to the code,
-   so any two revisions can be diffed field-by-field.  Every experiment
-   entry carries wall-clock plus the deterministic counters the Probe
-   collector sums over all arms: logical clock ticks, disk I/O (with the
-   seek/transfer cost model applied), pager hit/miss/eviction counts,
-   lock-manager work (including [scan_steps], the lock-table traversal
-   metric) and WAL volume.
-
-   Version 2 adds a per-experiment [timeseries] array (empty for most):
-   deterministic health-sampler snapshots — logical tick, leaf count,
-   utilization, fragmentation index, side-file backlog, free pages, the
-   fill-factor decile histogram, probe values with per-interval deltas, and
-   the names of any threshold watches that fired at that tick.
-
-   Version 3 adds a per-experiment [shard_sweep] array (empty for all but
-   the "shard" experiment): one point per shard count with the parallel
-   makespan, the mixed-workload user commit/abort counts, a [per_shard]
-   block of counters for every shard (ticks, I/O, lock, WAL), and a
-   [totals] block that must equal the field-wise sum of the per-shard
-   blocks — ci/check.sh validates that equality.
-
-   Version 4 adds a per-experiment [groupcommit] array (empty for all but
-   the "groupcommit" experiment): one block per arm (sync vs. pipelined) —
-   WAL forces, group-commit batching counters, checkpoint/truncation
-   counts, the sequential/random split of the disk's read and write
-   streams, the io-cost model total and the user commits.  ci/check.sh
-   asserts the pipelined arm forces strictly less and writes more
-   sequentially than the sync arm.
-
-   Version 5 adds a per-experiment [olc] array (empty for all but the
-   "olc" experiment): one block per arm (locked vs. olc) — the reader
-   operation counts and their xor-combined result digest (which must be
-   identical across the two arms), S-mode and total lock acquires for the
-   arm, the optimistic-path counters (committed reads, retries, fallbacks,
-   version bumps, non-enqueuing RX probes) and the arm makespan.  The
-   [lock] block also gains [instant_checks].  ci/check.sh asserts the olc
-   arm's S acquires are <= 0.30x the locked arm's and the digests are
-   equal.  Pre-v5 baselines omit both additions; all other fields remain
-   comparable field-by-field. *)
-let json_schema_version = 5
-
-let emit_experiment buf (wall, s) =
+(* Schema v6 (field list and v5 key map in EXPERIMENTS.md): one
+   BENCH_<rev>.json per revision, committed next to the code, so any two
+   revisions can be diffed field-by-field.  Every experiment entry carries
+   wall-clock, the registry values the Probe collector summed over all its
+   stores and engines ([totals]), and — only where the experiment reports
+   them — its [arms] and its health [timeseries].  `bench check FILE` runs
+   the CI gates on such a file. *)
+let emit_experiment buf (wall, (s : Sim.Probe.sample)) =
   let module J = Obs.Json in
-  let i n = fun b -> J.int b n in
-  let d = s.Sim.Probe.disk in
-  let p = s.Sim.Probe.pool in
-  let l = s.Sim.Probe.lock in
-  let w = s.Sim.Probe.wal in
+  let ints l b = J.obj b (List.map (fun (k, v) -> (k, fun b -> J.int b v)) l) in
+  let io_cost c b = J.float b (Sim.Probe.io_cost c) in
+  let arm (a : Sim.Probe.arm) b =
+    J.obj b
+      [
+        ("label", fun b -> J.string b a.Sim.Probe.label);
+        ("io_cost", io_cost a.Sim.Probe.counters);
+        ("scalars", ints a.Sim.Probe.scalars);
+        ("counters", ints a.Sim.Probe.counters);
+      ]
+  in
+  let unless_empty k l emit = if l = [] then [] else [ (k, fun b -> J.arr b (List.map emit l)) ] in
   J.obj buf
-    [
-      ("wall_clock_s", fun b -> J.float b wall);
-      ( "engine",
-        fun b ->
-          J.obj b
-            [
-              ("engines", i s.Sim.Probe.engines);
-              ("ticks", i s.Sim.Probe.ticks);
-              ("dispatches", i s.Sim.Probe.dispatches);
-            ] );
-      ( "io",
-        fun b ->
-          J.obj b
-            [
-              ("reads", i d.Pager.Disk.reads);
-              ("writes", i d.Pager.Disk.writes);
-              ("seq_reads", i d.Pager.Disk.seq_reads);
-              ("rand_reads", i d.Pager.Disk.rand_reads);
-              ("seq_writes", i d.Pager.Disk.seq_writes);
-              ("rand_writes", i d.Pager.Disk.rand_writes);
-              ("io_cost", fun b -> J.float b s.Sim.Probe.io_cost);
-            ] );
-      ( "pager",
-        fun b ->
-          J.obj b
-            [
-              ("hits", i p.Pager.Buffer_pool.s_hits);
-              ("misses", i p.Pager.Buffer_pool.s_misses);
-              ("flushes", i p.Pager.Buffer_pool.s_flushes);
-              ("dep_flushes", i p.Pager.Buffer_pool.s_dep_flushes);
-              ("evictions", i p.Pager.Buffer_pool.s_evictions);
-              ("torn_detected", i p.Pager.Buffer_pool.s_torn_detected);
-            ] );
-      ( "lock",
-        fun b ->
-          J.obj b
-            [
-              ("acquires", i l.Lockmgr.Lock_mgr.acquires);
-              ("waits", i l.Lockmgr.Lock_mgr.waits);
-              ("grants_after_wait", i l.Lockmgr.Lock_mgr.grants_after_wait);
-              ("instant_signals", i l.Lockmgr.Lock_mgr.instant_signals);
-              ("give_ups", i l.Lockmgr.Lock_mgr.give_ups);
-              ("cancelled_waits", i l.Lockmgr.Lock_mgr.cancelled_waits);
-              ("deadlocks", i l.Lockmgr.Lock_mgr.deadlocks);
-              ("releases", i l.Lockmgr.Lock_mgr.releases);
-              ("scan_steps", i l.Lockmgr.Lock_mgr.scan_steps);
-              ("instant_checks", i l.Lockmgr.Lock_mgr.instant_checks);
-            ] );
-      ( "wal",
-        fun b ->
-          J.obj b
-            [
-              ("records", i w.Wal.Log.records);
-              ("bytes", i w.Wal.Log.bytes);
-              ("forced", i w.Wal.Log.forced);
-            ] );
-      ( "timeseries",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun snap b -> Obs.Health.Sampler.emit_snapshot b snap)
-               s.Sim.Probe.timeseries) );
-      ( "shard_sweep",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun (pt : Sim.Probe.shard_point) b ->
-                 let arm (a : Sim.Probe.shard_arm) b =
-                   J.obj b
-                     [
-                       ("shard", i a.Sim.Probe.a_shard);
-                       ("ticks", i a.Sim.Probe.a_ticks);
-                       ("io_reads", i a.Sim.Probe.a_io_reads);
-                       ("io_writes", i a.Sim.Probe.a_io_writes);
-                       ("io_cost", fun b -> J.float b a.Sim.Probe.a_io_cost);
-                       ("lock_acquires", i a.Sim.Probe.a_lock_acquires);
-                       ("wal_records", i a.Sim.Probe.a_wal_records);
-                     ]
-                 in
-                 let sum f = List.fold_left (fun acc a -> acc + f a) 0 pt.Sim.Probe.p_arms in
-                 let sumf f = List.fold_left (fun acc a -> acc +. f a) 0. pt.Sim.Probe.p_arms in
-                 J.obj b
-                   [
-                     ("shards", i pt.Sim.Probe.p_shards);
-                     ("parallel_makespan", i pt.Sim.Probe.p_parallel_makespan);
-                     ("mixed_ticks", i pt.Sim.Probe.p_mixed_ticks);
-                     ("user_committed", i pt.Sim.Probe.p_user_committed);
-                     ("user_aborted", i pt.Sim.Probe.p_user_aborted);
-                     ("per_shard", fun b -> J.arr b (List.map arm pt.Sim.Probe.p_arms));
-                     ( "totals",
-                       fun b ->
-                         J.obj b
-                           [
-                             ("ticks", i (sum (fun a -> a.Sim.Probe.a_ticks)));
-                             ("io_reads", i (sum (fun a -> a.Sim.Probe.a_io_reads)));
-                             ("io_writes", i (sum (fun a -> a.Sim.Probe.a_io_writes)));
-                             ( "io_cost",
-                               fun b -> J.float b (sumf (fun a -> a.Sim.Probe.a_io_cost)) );
-                             ( "lock_acquires",
-                               i (sum (fun a -> a.Sim.Probe.a_lock_acquires)) );
-                             ("wal_records", i (sum (fun a -> a.Sim.Probe.a_wal_records)));
-                           ] );
-                   ])
-               s.Sim.Probe.shard_sweep) );
-      ( "groupcommit",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun (a : Sim.Probe.gc_arm) b ->
-                 J.obj b
-                   [
-                     ("arm", fun b -> J.string b a.Sim.Probe.g_label);
-                     ("forced", i a.Sim.Probe.g_forced);
-                     ("batches", i a.Sim.Probe.g_batches);
-                     ("coalesced", i a.Sim.Probe.g_coalesced);
-                     ("max_batch", i a.Sim.Probe.g_max_batch);
-                     ("checkpoints", i a.Sim.Probe.g_checkpoints);
-                     ("wal_truncated", i a.Sim.Probe.g_truncated);
-                     ("seq_reads", i a.Sim.Probe.g_seq_reads);
-                     ("rand_reads", i a.Sim.Probe.g_rand_reads);
-                     ("seq_writes", i a.Sim.Probe.g_seq_writes);
-                     ("rand_writes", i a.Sim.Probe.g_rand_writes);
-                     ("io_cost", fun b -> J.float b a.Sim.Probe.g_io_cost);
-                     ("user_committed", i a.Sim.Probe.g_committed);
-                   ])
-               s.Sim.Probe.groupcommit) );
-      ( "olc",
-        fun b ->
-          J.arr b
-            (List.map
-               (fun (a : Sim.Probe.olc_arm) b ->
-                 J.obj b
-                   [
-                     ("arm", fun b -> J.string b a.Sim.Probe.o_label);
-                     ("reads", i a.Sim.Probe.o_reads);
-                     ("range_scans", i a.Sim.Probe.o_range_scans);
-                     ("digest", i a.Sim.Probe.o_digest);
-                     ("s_acquires", i a.Sim.Probe.o_s_acquires);
-                     ("acquires", i a.Sim.Probe.o_acquires);
-                     ("olc_reads", i a.Sim.Probe.o_olc_reads);
-                     ("retries", i a.Sim.Probe.o_retries);
-                     ("fallbacks", i a.Sim.Probe.o_fallbacks);
-                     ("version_bumps", i a.Sim.Probe.o_version_bumps);
-                     ("instant_checks", i a.Sim.Probe.o_instant_checks);
-                     ("ticks", i a.Sim.Probe.o_ticks);
-                   ])
-               s.Sim.Probe.olc) );
-    ]
+    ([
+       ("wall_clock_s", fun b -> J.float b wall);
+       ("engines", fun b -> J.int b s.Sim.Probe.engines);
+       ("io_cost", io_cost s.Sim.Probe.totals);
+       ("totals", ints s.Sim.Probe.totals);
+     ]
+    @ unless_empty "arms" s.Sim.Probe.arms arm
+    @ unless_empty "timeseries" s.Sim.Probe.timeseries (fun snap b ->
+          Obs.Health.Sampler.emit_snapshot b snap))
 
 let write_json ~file ~experiments:exps ~micro:micro_est =
   let module J = Obs.Json in
@@ -406,7 +241,7 @@ let write_json ~file ~experiments:exps ~micro:micro_est =
   let buf = Buffer.create 4096 in
   J.obj buf
     [
-      ("schema_version", fun b -> J.int b json_schema_version);
+      ("schema_version", fun b -> J.int b Bench_check.schema_version);
       ("revision", fun b -> J.string b rev);
       ("generated_at_unix", fun b -> J.float b (Float.round (Unix.time ())));
       ( "experiments",
@@ -441,6 +276,19 @@ let instrumented ~trace ~metrics =
   | _ -> ());
   match registry with Some reg -> print_string (Obs.Registry.dump reg) | None -> ()
 
+(* `main.exe check FILE`: the CI gates of [Bench_check] on a baseline. *)
+let check file =
+  match Bench_check.run (Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all)) with
+  | exception (Sys_error msg | Failure msg) ->
+    Printf.eprintf "bench check FAILED: %s\n" msg;
+    exit 1
+  | [] ->
+    Printf.printf "bench check OK: %s (%d gates)\n" file (List.length Bench_check.gates);
+    exit 0
+  | failures ->
+    List.iter (fun (gate, msg) -> Printf.eprintf "bench check FAILED [%s]: %s\n" gate msg) failures;
+    exit 1
+
 let run_experiment (name, title, f) =
   Printf.printf "\n================================================================\n";
   Printf.printf "%s — %s\n" name title;
@@ -465,12 +313,25 @@ let () =
   let trace, metrics, json, args =
     split ~trace:None ~metrics:false ~json:None ~rev_targets:[] args
   in
+  let known = List.map (fun (n, _, _) -> n) experiments @ [ "micro" ] in
+  (match args with
+  | [ "check"; file ] -> check file
+  | "check" :: _ ->
+    prerr_endline "usage: main.exe check FILE";
+    exit 2
+  | _ -> ());
+  (* Reject a mistyped target before running anything: a CI target list
+     must not silently lose an experiment. *)
+  (match List.filter (fun t -> not (List.mem t known)) args with
+  | [] -> ()
+  | bad ->
+    List.iter
+      (fun t -> Printf.eprintf "unknown target %S; known: %s\n" t (String.concat " " known))
+      bad;
+    exit 2);
   if trace <> None || metrics then instrumented ~trace ~metrics;
   let targets =
-    if args = [] then
-      if (trace <> None || metrics) && json = None then []
-      else List.map (fun (n, _, _) -> n) experiments @ [ "micro" ]
-    else args
+    if args = [] then if (trace <> None || metrics) && json = None then [] else known else args
   in
   let exp_samples = ref [] in
   let micro_est = ref [] in
@@ -489,9 +350,7 @@ let () =
             let wall = Unix.gettimeofday () -. t0 in
             exp_samples := (name, (wall, sample)) :: !exp_samples
           end
-        | None ->
-          Printf.eprintf "unknown target %S; known: %s micro\n" target
-            (String.concat " " (List.map (fun (n, _, _) -> n) experiments)))
+        | None -> assert false)
     targets;
   match json with
   | Some file -> write_json ~file ~experiments:(List.rev !exp_samples) ~micro:!micro_est

@@ -197,7 +197,7 @@ module Sampler : sig
   val count : t -> int
 
   val emit_snapshot : Buffer.t -> snapshot -> unit
-  (** JSON object — the element type of the bench baseline's schema-v2
+  (** JSON object — the element type of the bench baseline's
       [timeseries] arrays. *)
 
   val to_json : snapshot list -> string

@@ -113,3 +113,11 @@ let io_cost ?(seek_cost = 10.0) ?(transfer_cost = 1.0) (s : stats) =
   +. (f s.seq_reads *. transfer_cost)
   +. (f s.rand_writes *. (seek_cost +. transfer_cost))
   +. (f s.seq_writes *. transfer_cost)
+
+let register_obs t reg =
+  Obs.Registry.gauge reg "disk.reads" (fun () -> t.reads);
+  Obs.Registry.gauge reg "disk.writes" (fun () -> t.writes);
+  Obs.Registry.gauge reg "disk.seq_reads" (fun () -> t.seq_reads);
+  Obs.Registry.gauge reg "disk.rand_reads" (fun () -> t.rand_reads);
+  Obs.Registry.gauge reg "disk.seq_writes" (fun () -> t.seq_writes);
+  Obs.Registry.gauge reg "disk.rand_writes" (fun () -> t.rand_writes)

@@ -52,3 +52,6 @@ val io_cost : ?seek_cost:float -> ?transfer_cost:float -> stats -> float
 (** Simple cost model: each random read or write pays
     [seek_cost + transfer_cost]; each sequential read or write pays
     [transfer_cost] only.  Defaults: seek 10.0, transfer 1.0. *)
+
+val register_obs : t -> Obs.Registry.t -> unit
+(** Register the {!stats} fields as [disk.*] gauges. *)

@@ -21,10 +21,11 @@ let run_arm ~pipelined ~seed ~n ~users () =
   let db, _ = Scenario.aged ~seed ~n ~f1:0.3 () in
   (* Snapshot after the build: the arms compare only the reorganization
      phase, not the identical initial load. *)
-  let d0 = Pager.Disk.stats db.Db.disk in
-  let w0 = Wal.Log.stats db.Db.log in
+  let reg = Probe.store_registry db in
+  let before = Probe.counters reg in
   let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
   let eng = Engine.create () in
+  Engine.register_obs eng reg;
   Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
   Db.set_tracers db ctx.Reorg.Ctx.tracer;
   let report = ref None in
@@ -46,14 +47,11 @@ let run_arm ~pipelined ~seed ~n ~users () =
       in
       (* The checkpointer is spawned here rather than through the pipeline so
          the arm can count how many checkpoints bounded replay. *)
-      Engine.spawn eng ~name:"checkpointer" (fun () ->
-          while !report = None do
-            Engine.sleep 150;
-            if !report = None then begin
-              Reorg.Ctx.checkpoint ctx;
-              incr ckpts
-            end
-          done);
+      Sched.Daemon.spawn eng ~name:"checkpointer" ~every:150
+        ~until:(fun () -> !report <> None)
+        (fun () ->
+          Reorg.Ctx.checkpoint ctx;
+          incr ckpts);
       Fun.protect ~finally:(fun () -> Pipeline.detach t) (fun () -> Engine.run eng);
       Pipeline.stats t
     end
@@ -64,32 +62,15 @@ let run_arm ~pipelined ~seed ~n ~users () =
   in
   Db.flush_all db;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
-  let d1 = Pager.Disk.stats db.Db.disk in
-  let w1 = Wal.Log.stats db.Db.log in
-  let dd =
-    {
-      Pager.Disk.reads = d1.Pager.Disk.reads - d0.Pager.Disk.reads;
-      writes = d1.Pager.Disk.writes - d0.Pager.Disk.writes;
-      seq_reads = d1.Pager.Disk.seq_reads - d0.Pager.Disk.seq_reads;
-      rand_reads = d1.Pager.Disk.rand_reads - d0.Pager.Disk.rand_reads;
-      seq_writes = d1.Pager.Disk.seq_writes - d0.Pager.Disk.seq_writes;
-      rand_writes = d1.Pager.Disk.rand_writes - d0.Pager.Disk.rand_writes;
-    }
-  in
   {
-    Probe.g_label = (if pipelined then "pipelined" else "sync");
-    g_forced = w1.Wal.Log.forced - w0.Wal.Log.forced;
-    g_batches = gc.Wal.Group_commit.batches;
-    g_coalesced = gc.Wal.Group_commit.coalesced;
-    g_max_batch = gc.Wal.Group_commit.max_batch;
-    g_checkpoints = !ckpts;
-    g_truncated = Wal.Log.truncated_records db.Db.log;
-    g_seq_reads = dd.Pager.Disk.seq_reads;
-    g_rand_reads = dd.Pager.Disk.rand_reads;
-    g_seq_writes = dd.Pager.Disk.seq_writes;
-    g_rand_writes = dd.Pager.Disk.rand_writes;
-    g_io_cost = Pager.Disk.io_cost dd;
-    g_committed = ustats.Workload.Mix.committed;
+    Probe.label = (if pipelined then "pipelined" else "sync");
+    counters = Probe.diff (Probe.counters reg) before;
+    scalars =
+      [ ("batches", gc.Wal.Group_commit.batches);
+        ("coalesced", gc.Wal.Group_commit.coalesced);
+        ("max_batch", gc.Wal.Group_commit.max_batch); ("checkpoints", !ckpts);
+        ("wal_truncated", Wal.Log.truncated_records db.Db.log);
+        ("user_committed", ustats.Workload.Mix.committed) ];
   }
 
 let run_arms () =
@@ -100,7 +81,7 @@ let run_arms () =
 
 let run () =
   let sync, piped = run_arms () in
-  Probe.note_groupcommit [ sync; piped ];
+  Probe.note [ sync; piped ];
   let table =
     Util.Table.create
       ~title:
@@ -113,26 +94,26 @@ let run () =
         ("rand w", Util.Table.Right); ("io cost", Util.Table.Right);
         ("commits", Util.Table.Right) ]
   in
-  let row (a : Probe.gc_arm) =
+  let row (a : Probe.arm) =
     Util.Table.add_row table
-      [ a.Probe.g_label; string_of_int a.Probe.g_forced;
-        string_of_int a.Probe.g_batches; string_of_int a.Probe.g_coalesced;
-        string_of_int a.Probe.g_max_batch; string_of_int a.Probe.g_checkpoints;
-        string_of_int a.Probe.g_truncated; string_of_int a.Probe.g_seq_writes;
-        string_of_int a.Probe.g_rand_writes;
-        Printf.sprintf "%.1f" a.Probe.g_io_cost;
-        string_of_int a.Probe.g_committed ]
+      (a.Probe.label
+       :: List.map
+            (fun k -> string_of_int (Probe.get a k))
+            [ "wal.forced"; "batches"; "coalesced"; "max_batch"; "checkpoints";
+              "wal_truncated"; "disk.seq_writes"; "disk.rand_writes" ]
+      @ [ Printf.sprintf "%.1f" (Probe.io_cost a.Probe.counters);
+          string_of_int (Probe.get a "user_committed") ])
   in
   row sync;
   row piped;
   Util.Table.add_rule table;
-  let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
+  let ratio k =
+    let a = Probe.get piped k and b = Probe.get sync k in
+    Printf.sprintf "%.2fx" (if b = 0 then 1.0 else float_of_int a /. float_of_int b)
+  in
+  let io a = Probe.io_cost a.Probe.counters in
   Util.Table.add_row table
-    [ "pipelined/sync";
-      Printf.sprintf "%.2fx" (ratio piped.Probe.g_forced sync.Probe.g_forced);
-      "-"; "-"; "-"; "-"; "-";
-      Printf.sprintf "%.2fx" (ratio piped.Probe.g_seq_writes sync.Probe.g_seq_writes);
-      Printf.sprintf "%.2fx" (ratio piped.Probe.g_rand_writes sync.Probe.g_rand_writes);
-      Printf.sprintf "%.2fx" (piped.Probe.g_io_cost /. Float.max 1.0 sync.Probe.g_io_cost);
-      "-" ];
+    [ "pipelined/sync"; ratio "wal.forced"; "-"; "-"; "-"; "-"; "-";
+      ratio "disk.seq_writes"; ratio "disk.rand_writes";
+      Printf.sprintf "%.2fx" (io piped /. Float.max 1.0 (io sync)); "-" ];
   table

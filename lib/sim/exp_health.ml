@@ -9,7 +9,7 @@
    on the degraded tree; the sampled series then shows utilization climbing
    back to f2 as the passes run.  The sampler's snapshots are reported to
    the ambient Probe collector, so `bench --json` emits them as this
-   experiment's schema-v2 [timeseries] array. *)
+   experiment's [timeseries] array. *)
 
 module Buffer_pool = Pager.Buffer_pool
 module Health = Obs.Health

@@ -14,12 +14,10 @@
    reorganizer's own scans), the olc counters show committed optimistic
    reads doing the work instead, and every reader's result digest is
    byte-identical across the arms — the optimistic path returns exactly
-   what the locked path returns.  ci/check.sh pins the ratio at <= 0.30x
+   what the locked path returns.  `bench check` pins the ratio at <= 0.30x
    and the digest equality. *)
 
 module Engine = Sched.Engine
-module Lock_mgr = Lockmgr.Lock_mgr
-module Mode = Lockmgr.Mode
 module Txn_mgr = Transact.Txn_mgr
 module Access = Btree.Access
 
@@ -31,17 +29,13 @@ let run_arm ~use_olc ~seed ~n ~readers ~reads_per_reader () =
   let db, _ = Scenario.aged ~seed ~n ~f1:0.3 () in
   Access.set_olc db.Db.access
     ~max_retries:Reorg.Config.default.Reorg.Config.olc_max_retries use_olc;
-  let olc = Btree.Tree.olc db.Db.tree in
   (* Snapshot after the build: the arms compare only the concurrent phase,
      not the identical initial load. *)
-  let s0, _, _ = Lock_mgr.mode_tally db.Db.locks Mode.S in
-  let l0 = Lock_mgr.stats db.Db.locks in
-  let or0 = Btree.Olc.reads olc in
-  let rt0 = Btree.Olc.retries olc in
-  let fb0 = Btree.Olc.fallbacks olc in
-  let vb0 = Btree.Olc.version_bumps olc in
+  let reg = Probe.store_registry db in
+  let before = Probe.counters reg in
   let ctx = Reorg.Ctx.make ~access:db.Db.access ~config:Reorg.Config.default () in
   let eng = Engine.create () in
+  Engine.register_obs eng reg;
   Engine.set_tracer eng ctx.Reorg.Ctx.tracer;
   Db.set_tracers db ctx.Reorg.Ctx.tracer;
   let report = ref None in
@@ -97,21 +91,10 @@ let run_arm ~use_olc ~seed ~n ~readers ~reads_per_reader () =
   | None -> failwith "Exp_olc.run_arm: reorganizer did not finish");
   Db.flush_all db;
   Btree.Invariant.check ~alloc:db.Db.alloc db.Db.tree;
-  let s1, _, _ = Lock_mgr.mode_tally db.Db.locks Mode.S in
-  let l1 = Lock_mgr.stats db.Db.locks in
   {
-    Probe.o_label = (if use_olc then "olc" else "locked");
-    o_reads = !reads;
-    o_range_scans = !scans;
-    o_digest = !digest;
-    o_s_acquires = s1 - s0;
-    o_acquires = l1.Lock_mgr.acquires - l0.Lock_mgr.acquires;
-    o_olc_reads = Btree.Olc.reads olc - or0;
-    o_retries = Btree.Olc.retries olc - rt0;
-    o_fallbacks = Btree.Olc.fallbacks olc - fb0;
-    o_version_bumps = Btree.Olc.version_bumps olc - vb0;
-    o_instant_checks = l1.Lock_mgr.instant_checks - l0.Lock_mgr.instant_checks;
-    o_ticks = Engine.now eng;
+    Probe.label = (if use_olc then "olc" else "locked");
+    counters = Probe.diff (Probe.counters reg) before;
+    scalars = [ ("reads", !reads); ("range_scans", !scans); ("digest", !digest) ];
   }
 
 let run_arms () =
@@ -122,7 +105,7 @@ let run_arms () =
 
 let run () =
   let locked, olc = run_arms () in
-  Probe.note_olc [ locked; olc ];
+  Probe.note [ locked; olc ];
   let table =
     Util.Table.create
       ~title:
@@ -135,24 +118,24 @@ let run () =
         ("fallbacks", Util.Table.Right); ("bumps", Util.Table.Right);
         ("probes", Util.Table.Right); ("ticks", Util.Table.Right) ]
   in
-  let row (a : Probe.olc_arm) =
+  let row (a : Probe.arm) =
+    let ints = List.map (fun k -> string_of_int (Probe.get a k)) in
     Util.Table.add_row table
-      [ a.Probe.o_label; string_of_int a.Probe.o_reads;
-        string_of_int a.Probe.o_range_scans;
-        Printf.sprintf "%08x" a.Probe.o_digest;
-        string_of_int a.Probe.o_s_acquires; string_of_int a.Probe.o_acquires;
-        string_of_int a.Probe.o_olc_reads; string_of_int a.Probe.o_retries;
-        string_of_int a.Probe.o_fallbacks; string_of_int a.Probe.o_version_bumps;
-        string_of_int a.Probe.o_instant_checks; string_of_int a.Probe.o_ticks ]
+      ((a.Probe.label :: ints [ "reads"; "range_scans" ])
+      @ (Printf.sprintf "%08x" (Probe.get a "digest")
+        :: ints
+             [ "lock.acquires.S"; "lock.acquires"; "olc.reads"; "olc.retries"; "olc.fallbacks";
+               "olc.version_bumps"; "lock.instant_checks"; "sched.time" ]))
   in
   row locked;
   row olc;
   Util.Table.add_rule table;
-  let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
+  let ratio k =
+    let a = Probe.get olc k and b = Probe.get locked k in
+    Printf.sprintf "%.2fx" (if b = 0 then 1.0 else float_of_int a /. float_of_int b)
+  in
   Util.Table.add_row table
     [ "olc/locked"; "-"; "-";
-      (if olc.Probe.o_digest = locked.Probe.o_digest then "equal" else "DIFFER");
-      Printf.sprintf "%.2fx" (ratio olc.Probe.o_s_acquires locked.Probe.o_s_acquires);
-      Printf.sprintf "%.2fx" (ratio olc.Probe.o_acquires locked.Probe.o_acquires);
-      "-"; "-"; "-"; "-"; "-"; "-" ];
+      (if Probe.get olc "digest" = Probe.get locked "digest" then "equal" else "DIFFER");
+      ratio "lock.acquires.S"; ratio "lock.acquires"; "-"; "-"; "-"; "-"; "-"; "-" ];
   table

@@ -11,71 +11,62 @@
      shard's reorganizer on ONE engine together with cross-shard client
      transactions committing through the shard-ordered 2PL protocol.
 
-   Per-shard counter blocks (ticks, io, locks, wal) from the parallel phase
-   are reported to the ambient Probe collector, so `bench --json` emits them
-   as this experiment's schema-v3 [shard_sweep] array. *)
-
-module Store = Shard.Store
+   Each sweep point is reported to the ambient Probe collector as one arm
+   labelled [shards=N] (the point's figures, and counters summed over its
+   shards) followed by one [shards=N/shard=i] arm per shard, read off that
+   shard's registry after the parallel phase. *)
 
 let seed = 42
 let default_n = 4000
 let survive = 0.35
 let default_counts = [ 1; 2; 4; 8 ]
 
-let arm_of_store i ticks (st : Store.t) =
-  let d = Pager.Disk.stats st.Store.disk in
-  let l = Lockmgr.Lock_mgr.stats st.Store.locks in
-  let w = Wal.Log.stats st.Store.log in
-  {
-    Probe.a_shard = i;
-    a_ticks = ticks;
-    a_io_reads = d.Pager.Disk.reads;
-    a_io_writes = d.Pager.Disk.writes;
-    a_io_cost = Pager.Disk.io_cost d;
-    a_lock_acquires = l.Lockmgr.Lock_mgr.acquires;
-    a_wal_records = w.Wal.Log.records;
-  }
-
-let run_point ?registry ~n shards =
+let run_point ~n shards =
   (* Phase A: parallel reorganization, engine per shard. *)
   let t, expected = Sharded.thinned ~seed ~n ~survive ~shards () in
-  let outcome = Sharded.reorg_parallel ?registry t in
+  let outcome = Sharded.reorg_parallel t in
   Sharded.check_invariants t;
   if Sharded.contents t <> expected then
     failwith
       (Printf.sprintf "exp_shard: %d-shard parallel phase lost records" shards);
-  let arms =
-    Array.to_list
-      (Array.mapi (fun i st -> arm_of_store i outcome.Sharded.ticks.(i) st) t.Sharded.stores)
+  let per_shard =
+    List.mapi
+      (fun i st ->
+        {
+          Probe.label = Printf.sprintf "shards=%d/shard=%d" shards i;
+          counters = Probe.counters (Probe.store_registry st);
+          scalars = [ ("shards", shards); ("shard", i); ("ticks", outcome.Sharded.ticks.(i)) ];
+        })
+      (Array.to_list t.Sharded.stores)
   in
   (* Phase B: fresh assembly, reorganizers and cross-shard users contending
      on one engine.  Same total client load at every shard count. *)
   let t2, _ = Sharded.thinned ~seed ~n ~survive ~shards () in
   let mixed, ustats =
-    Sharded.reorg_with_users ?registry ~users:6 ~user_ops:40 ~seed:(seed + 1)
-      ~key_space:(2 * n) t2
+    Sharded.reorg_with_users ~users:6 ~user_ops:40 ~seed:(seed + 1) ~key_space:(2 * n) t2
   in
   Sharded.check_invariants t2;
-  ( {
-      Probe.p_shards = shards;
-      p_parallel_makespan = outcome.Sharded.makespan;
-      p_mixed_ticks = mixed.Sharded.makespan;
-      p_user_committed = ustats.Workload.Mix.committed;
-      p_user_aborted = ustats.Workload.Mix.aborted;
-      p_arms = arms;
-    },
-    outcome )
+  let point =
+    {
+      Probe.label = Printf.sprintf "shards=%d" shards;
+      counters = Probe.sum (List.map (fun (a : Probe.arm) -> a.Probe.counters) per_shard);
+      scalars =
+        [ ("shards", shards); ("parallel_makespan", outcome.Sharded.makespan);
+          ("mixed_ticks", mixed.Sharded.makespan);
+          ("user_committed", ustats.Workload.Mix.committed);
+          ("user_aborted", ustats.Workload.Mix.aborted);
+          ("ticks", outcome.Sharded.total_ticks) ];
+    }
+  in
+  (point, per_shard)
 
-let run_points ?registry ~n counts = List.map (fun c -> run_point ?registry ~n c) counts
+let run_points ~n counts = List.map (run_point ~n) counts
 
 let run () =
   let points = run_points ~n:default_n default_counts in
-  Probe.note_shard_sweep (List.map fst points);
-  let base =
-    match points with
-    | (p, _) :: _ -> float_of_int p.Probe.p_parallel_makespan
-    | [] -> 1.0
-  in
+  Probe.note (List.concat_map (fun (p, per_shard) -> p :: per_shard) points);
+  let makespan p = Probe.get p "parallel_makespan" in
+  let base = match points with (p, _) :: _ -> float_of_int (makespan p) | [] -> 1.0 in
   let table =
     Util.Table.create
       ~title:
@@ -90,35 +81,36 @@ let run () =
         ("committed", Util.Table.Right); ("aborted", Util.Table.Right) ]
   in
   List.iter
-    (fun ((p : Probe.shard_point), (o : Sharded.reorg_outcome)) ->
+    (fun (p, per_shard) ->
       let io =
-        List.fold_left (fun acc (a : Probe.shard_arm) -> acc +. a.Probe.a_io_cost) 0.0
-          p.Probe.p_arms
+        List.fold_left (fun acc (a : Probe.arm) -> acc +. Probe.io_cost a.Probe.counters) 0.0
+          per_shard
       in
+      let g = Probe.get p in
       Util.Table.add_row table
-        [ string_of_int p.Probe.p_shards;
-          string_of_int p.Probe.p_parallel_makespan;
-          Printf.sprintf "%.2fx" (base /. float_of_int p.Probe.p_parallel_makespan);
-          string_of_int o.Sharded.total_ticks;
+        [ string_of_int (g "shards");
+          string_of_int (makespan p);
+          Printf.sprintf "%.2fx" (base /. float_of_int (makespan p));
+          string_of_int (g "ticks");
           Printf.sprintf "%.0f" io;
-          string_of_int p.Probe.p_mixed_ticks;
-          string_of_int p.Probe.p_user_committed;
-          string_of_int p.Probe.p_user_aborted ])
+          string_of_int (g "mixed_ticks");
+          string_of_int (g "user_committed");
+          string_of_int (g "user_aborted") ])
     points;
   table
 
 (* The parts of the sweep a test (or CI) wants to assert on. *)
 type outcome = {
-  o_points : Probe.shard_point list;
+  o_points : (Probe.arm * Probe.arm list) list;  (** per point: its arm and its per-shard arms *)
   o_makespan_1 : int;  (** 1-shard parallel makespan *)
   o_makespan_4 : int;  (** 4-shard parallel makespan; criterion: <= 0.6x *)
 }
 
 let run_outcome ?(n = 2000) () =
-  let points = List.map fst (run_points ~n [ 1; 4 ]) in
+  let points = run_points ~n [ 1; 4 ] in
   let find c =
-    match List.find_opt (fun (p : Probe.shard_point) -> p.Probe.p_shards = c) points with
-    | Some p -> p.Probe.p_parallel_makespan
+    match List.find_opt (fun (p, _) -> Probe.get p "shards" = c) points with
+    | Some (p, _) -> Probe.get p "parallel_makespan"
     | None -> failwith "exp_shard: missing sweep point"
   in
   { o_points = points; o_makespan_1 = find 1; o_makespan_4 = find 4 }

@@ -40,7 +40,9 @@ let attach ?(gc_every = 2) ?(flush_every = 8) ?flush_limit ?ckpt_every ?ctx eng 
   (* Fuzzy checkpoints bound recovery replay and let the log truncate. *)
   (match ckpt_every with
   | None -> ()
-  | Some every -> Checkpointer.spawn ?ctx eng ~db ~every ~stop);
+  | Some every ->
+    Sched.Daemon.spawn eng ~name:"checkpointer" ~every ~until:stop (fun () ->
+        match ctx with Some ctx -> Reorg.Ctx.checkpoint ctx | None -> Db.checkpoint db ()));
   { gc; db; detached = false }
 
 let detach t =

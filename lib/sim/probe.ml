@@ -3,245 +3,90 @@
    Experiments build their databases and engines internally (often several of
    each: ours vs. Tandem vs. offline arms), so the benchmark harness cannot
    reach the components to read their counters.  Instead, a collector is made
-   ambient for the duration of one experiment: [Db.assemble] reports every
-   component set it wires ([note_parts]) and the scheduler's create hook
-   reports every engine.  At the end the collector snapshots and sums the
-   counters — totals over all arms, which is the right unit for regression
-   tracking (the arms are part of the experiment's work). *)
+   ambient for the duration of one experiment: the store-assembly and engine
+   creation hooks give every component set its own registry, and at the end
+   the collector sums every registry by name — totals over all arms, which is
+   the right unit for regression tracking (the arms are part of the
+   experiment's work). *)
 
-type shard_arm = {
-  a_shard : int;
-  a_ticks : int;
-  a_io_reads : int;
-  a_io_writes : int;
-  a_io_cost : float;
-  a_lock_acquires : int;
-  a_wal_records : int;
-}
+type counters = (string * int) list
 
-type shard_point = {
-  p_shards : int;
-  p_parallel_makespan : int;
-  p_mixed_ticks : int;
-  p_user_committed : int;
-  p_user_aborted : int;
-  p_arms : shard_arm list;
-}
-
-type gc_arm = {
-  g_label : string;
-  g_forced : int;
-  g_batches : int;
-  g_coalesced : int;
-  g_max_batch : int;
-  g_checkpoints : int;
-  g_truncated : int;
-  g_seq_reads : int;
-  g_rand_reads : int;
-  g_seq_writes : int;
-  g_rand_writes : int;
-  g_io_cost : float;
-  g_committed : int;
-}
-
-type olc_arm = {
-  o_label : string;
-  o_reads : int;
-  o_range_scans : int;
-  o_digest : int;
-  o_s_acquires : int;
-  o_acquires : int;
-  o_olc_reads : int;
-  o_retries : int;
-  o_fallbacks : int;
-  o_version_bumps : int;
-  o_instant_checks : int;
-  o_ticks : int;
-}
+type arm = { label : string; counters : counters; scalars : (string * int) list }
 
 type sample = {
-  disk : Pager.Disk.stats;
-  io_cost : float;
-  pool : Pager.Buffer_pool.stats;
-  lock : Lockmgr.Lock_mgr.stats;
-  wal : Wal.Log.stats;
+  totals : counters;
   engines : int;
-  ticks : int;  (* summed logical clocks *)
-  dispatches : int;
   timeseries : Obs.Health.Sampler.snapshot list;
-  shard_sweep : shard_point list;
-  groupcommit : gc_arm list;
-  olc : olc_arm list;
+  arms : arm list;
 }
 
-type parts = {
-  mutable disks : Pager.Disk.t list;
-  mutable pools : Pager.Buffer_pool.t list;
-  mutable lockms : Lockmgr.Lock_mgr.t list;
-  mutable logs : Wal.Log.t list;
-  mutable engs : Sched.Engine.t list;
-  mutable tseries : Obs.Health.Sampler.snapshot list; (* reversed batches *)
-  mutable sweep : shard_point list; (* reversed *)
-  mutable gc_arms : gc_arm list; (* reversed *)
-  mutable olc_arms : olc_arm list; (* reversed *)
+type state = {
+  mutable regs : Obs.Registry.t list;
+  mutable engines : int;
+  mutable tseries : Obs.Health.Sampler.snapshot list; (* reversed *)
+  mutable noted : arm list; (* reversed *)
 }
 
-let current : parts option ref = ref None
+let current : state option ref = ref None
 
-let note_parts ~disk ~pool ~locks ~log =
-  match !current with
-  | None -> ()
-  | Some c ->
-    c.disks <- disk :: c.disks;
-    c.pools <- pool :: c.pools;
-    c.lockms <- locks :: c.lockms;
-    c.logs <- log :: c.logs
-
-let note_store (st : Shard.Store.t) =
-  note_parts ~disk:st.Shard.Store.disk ~pool:st.Shard.Store.pool ~locks:st.Shard.Store.locks
-    ~log:st.Shard.Store.log
+let note arms =
+  match !current with None -> () | Some c -> c.noted <- List.rev_append arms c.noted
 
 let note_timeseries snaps =
-  match !current with
-  | None -> ()
-  | Some c -> c.tseries <- List.rev_append snaps c.tseries
+  match !current with None -> () | Some c -> c.tseries <- List.rev_append snaps c.tseries
 
-let note_shard_sweep points =
-  match !current with
-  | None -> ()
-  | Some c -> c.sweep <- List.rev_append points c.sweep
+let store_registry (st : Shard.Store.t) =
+  let reg = Obs.Registry.create () in
+  Pager.Disk.register_obs st.Shard.Store.disk reg;
+  Pager.Buffer_pool.register_obs st.Shard.Store.pool reg;
+  Lockmgr.Lock_mgr.register_obs st.Shard.Store.locks reg;
+  Wal.Log.register_obs st.Shard.Store.log reg;
+  Btree.Olc.register_obs (Btree.Tree.olc st.Shard.Store.tree) reg;
+  reg
 
-let note_groupcommit arms =
-  match !current with
-  | None -> ()
-  | Some c -> c.gc_arms <- List.rev_append arms c.gc_arms
+let counters reg =
+  List.filter_map
+    (fun (name, _) -> Option.map (fun v -> (name, v)) (Obs.Registry.value reg name))
+    (Obs.Registry.sorted reg)
 
-let note_olc arms =
-  match !current with
-  | None -> ()
-  | Some c -> c.olc_arms <- List.rev_append arms c.olc_arms
+module M = Map.Make (String)
 
-let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+let sum lists =
+  let add m (k, v) = M.update k (fun o -> Some (v + Option.value o ~default:0)) m in
+  M.bindings (List.fold_left (List.fold_left add) M.empty lists)
 
-let total c =
-  let dstats = List.map Pager.Disk.stats c.disks in
-  let disk =
-    List.fold_left
-      (fun (a : Pager.Disk.stats) (b : Pager.Disk.stats) ->
-        {
-          Pager.Disk.reads = a.reads + b.reads;
-          writes = a.writes + b.writes;
-          seq_reads = a.seq_reads + b.seq_reads;
-          rand_reads = a.rand_reads + b.rand_reads;
-          seq_writes = a.seq_writes + b.seq_writes;
-          rand_writes = a.rand_writes + b.rand_writes;
-        })
-      {
-        Pager.Disk.reads = 0;
-        writes = 0;
-        seq_reads = 0;
-        rand_reads = 0;
-        seq_writes = 0;
-        rand_writes = 0;
-      }
-      dstats
-  in
-  let pool =
-    List.fold_left
-      (fun (a : Pager.Buffer_pool.stats) p ->
-        let b = Pager.Buffer_pool.stats p in
-        {
-          Pager.Buffer_pool.s_hits = a.s_hits + b.s_hits;
-          s_misses = a.s_misses + b.s_misses;
-          s_flushes = a.s_flushes + b.s_flushes;
-          s_dep_flushes = a.s_dep_flushes + b.s_dep_flushes;
-          s_evictions = a.s_evictions + b.s_evictions;
-          s_torn_detected = a.s_torn_detected + b.s_torn_detected;
-        })
-      {
-        Pager.Buffer_pool.s_hits = 0;
-        s_misses = 0;
-        s_flushes = 0;
-        s_dep_flushes = 0;
-        s_evictions = 0;
-        s_torn_detected = 0;
-      }
-      c.pools
-  in
-  let lock =
-    List.fold_left
-      (fun (a : Lockmgr.Lock_mgr.stats) m ->
-        let b = Lockmgr.Lock_mgr.stats m in
-        {
-          Lockmgr.Lock_mgr.acquires = a.acquires + b.acquires;
-          waits = a.waits + b.waits;
-          grants_after_wait = a.grants_after_wait + b.grants_after_wait;
-          instant_signals = a.instant_signals + b.instant_signals;
-          give_ups = a.give_ups + b.give_ups;
-          cancelled_waits = a.cancelled_waits + b.cancelled_waits;
-          deadlocks = a.deadlocks + b.deadlocks;
-          releases = a.releases + b.releases;
-          scan_steps = a.scan_steps + b.scan_steps;
-          instant_checks = a.instant_checks + b.instant_checks;
-        })
-      {
-        Lockmgr.Lock_mgr.acquires = 0;
-        waits = 0;
-        grants_after_wait = 0;
-        instant_signals = 0;
-        give_ups = 0;
-        cancelled_waits = 0;
-        deadlocks = 0;
-        releases = 0;
-        scan_steps = 0;
-        instant_checks = 0;
-      }
-      c.lockms
-  in
-  let wal =
-    List.fold_left
-      (fun (a : Wal.Log.stats) l ->
-        let b = Wal.Log.stats l in
-        { Wal.Log.records = a.records + b.records; bytes = a.bytes + b.bytes; forced = a.forced + b.forced })
-      { Wal.Log.records = 0; bytes = 0; forced = 0 }
-      c.logs
-  in
-  {
-    disk;
-    io_cost = Pager.Disk.io_cost disk;
-    pool;
-    lock;
-    wal;
-    engines = List.length c.engs;
-    ticks = sum Sched.Engine.now c.engs;
-    dispatches = sum Sched.Engine.dispatches c.engs;
-    timeseries = List.rev c.tseries;
-    shard_sweep = List.rev c.sweep;
-    groupcommit = List.rev c.gc_arms;
-    olc = List.rev c.olc_arms;
-  }
+let diff after before = sum [ after; List.map (fun (k, v) -> (k, -v)) before ]
+
+let get a k =
+  match List.assoc_opt k a.scalars with Some v -> v | None -> List.assoc k a.counters
+
+let io_cost c =
+  let g k = Option.value (List.assoc_opt k c) ~default:0 in
+  Pager.Disk.io_cost
+    {
+      Pager.Disk.reads = g "disk.reads";
+      writes = g "disk.writes";
+      seq_reads = g "disk.seq_reads";
+      rand_reads = g "disk.rand_reads";
+      seq_writes = g "disk.seq_writes";
+      rand_writes = g "disk.rand_writes";
+    }
 
 let with_collector f =
   (match !current with
   | Some _ -> invalid_arg "Probe.with_collector: collector already active"
   | None -> ());
-  let c =
-    {
-      disks = [];
-      pools = [];
-      lockms = [];
-      logs = [];
-      engs = [];
-      tseries = [];
-      sweep = [];
-      gc_arms = [];
-      olc_arms = [];
-    }
-  in
+  let c = { regs = []; engines = 0; tseries = []; noted = [] } in
   current := Some c;
   (* Register by id so hooks installed by anyone else stay in place. *)
-  let hook = Sched.Engine.add_create_hook (fun e -> c.engs <- e :: c.engs) in
-  let store_hook = Shard.Store.add_assemble_hook note_store in
+  let hook =
+    Sched.Engine.add_create_hook (fun e ->
+        let reg = Obs.Registry.create () in
+        Sched.Engine.register_obs e reg;
+        c.regs <- reg :: c.regs;
+        c.engines <- c.engines + 1)
+  in
+  let store_hook = Shard.Store.add_assemble_hook (fun st -> c.regs <- store_registry st :: c.regs) in
   Fun.protect
     ~finally:(fun () ->
       current := None;
@@ -249,4 +94,10 @@ let with_collector f =
       Shard.Store.remove_assemble_hook store_hook)
     (fun () ->
       let r = f () in
-      (r, total c))
+      ( r,
+        {
+          totals = sum (List.map counters c.regs);
+          engines = c.engines;
+          timeseries = List.rev c.tseries;
+          arms = List.rev c.noted;
+        } ))

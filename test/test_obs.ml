@@ -208,6 +208,13 @@ let emit_float x =
   Obs.Json.float buf x;
   Buffer.contents buf
 
+let finite =
+  [ 0.0; -0.0; 1.0; -1.0; 0.1; -0.1; 1.0 /. 3.0; 2.0 /. 3.0; 0.55; 0.30;
+    1e-10; 1.5e-45; 4e-324 (* smallest subnormal *); Float.min_float;
+    Float.max_float; 1e15; 1e15 -. 1.0; 1e15 +. 2.0; 123456789.0;
+    9007199254740993.0 (* 2^53 + 1: not representable as itself *);
+    3.141592653589793; 1e300; -2.2250738585072011e-308 ]
+
 (* Adversarial floats: nothing non-finite may leak into the output (JSON has
    no nan/inf literals), and every finite value must round-trip exactly
    through its printed form. *)
@@ -218,13 +225,6 @@ let test_json_float_adversarial () =
         (Printf.sprintf "%h is null" x)
         "null" (emit_float x))
     [ Float.nan; Float.infinity; Float.neg_infinity; 0.0 /. 0.0; 1.0 /. 0.0 ];
-  let finite =
-    [ 0.0; -0.0; 1.0; -1.0; 0.1; -0.1; 1.0 /. 3.0; 2.0 /. 3.0; 0.55; 0.30;
-      1e-10; 1.5e-45; 4e-324 (* smallest subnormal *); Float.min_float;
-      Float.max_float; 1e15; 1e15 -. 1.0; 1e15 +. 2.0; 123456789.0;
-      9007199254740993.0 (* 2^53 + 1: not representable as itself *);
-      3.141592653589793; 1e300; -2.2250738585072011e-308 ]
-  in
   List.iter
     (fun x ->
       let s = emit_float x in
@@ -240,6 +240,49 @@ let test_json_float_adversarial () =
   (* Integer-valued doubles print without an exponent or decimal point. *)
   Alcotest.(check string) "integral compact" "123456789" (emit_float 123456789.0);
   Alcotest.(check string) "zero" "0" (emit_float 0.0)
+
+(* The reader parses what the writer emits: nesting, string escapes,
+   integers, the shortest round-tripping floats, and nan/inf as null. *)
+let test_json_reader_round_trip () =
+  let module J = Obs.Json in
+  let buf = Buffer.create 256 in
+  let text = "quote\" back\\ nl\n tab\t cr\r ctl\001 caf\xc3\xa9" in
+  let floats l b = J.arr b (List.map (fun x b -> J.float b x) l) in
+  J.obj buf
+    [
+      ("s", fun b -> J.string b text);
+      ("i", fun b -> J.int b (-42));
+      ("big", fun b -> J.int b max_int);
+      ("nonfinite", floats [ Float.nan; Float.infinity; Float.neg_infinity ]);
+      ("finite", floats finite);
+      ("empty", fun b -> J.obj b [ ("o", fun b -> J.obj b []); ("a", fun b -> J.arr b []) ]);
+    ];
+  let doc = J.parse (Buffer.contents buf) in
+  let get k = Option.get (J.member k doc) in
+  Alcotest.(check bool) "string with escapes" true (get "s" = J.String text);
+  Alcotest.(check bool) "negative int" true (get "i" = J.Int (-42));
+  Alcotest.(check bool) "max_int" true (get "big" = J.Int max_int);
+  Alcotest.(check bool) "nan/inf read back as null" true
+    (get "nonfinite" = J.List [ J.Null; J.Null; J.Null ]);
+  (match get "finite" with
+  | J.List vs ->
+    List.iter2
+      (fun x v ->
+        Alcotest.(check bool) (Printf.sprintf "%h reads back exactly" x) true
+          (J.to_float v = Some x))
+      finite vs
+  | _ -> Alcotest.fail "finite floats not read back as an array");
+  Alcotest.(check bool) "empty containers" true
+    (get "empty" = J.Obj [ ("o", J.Obj []); ("a", J.List []) ]);
+  Alcotest.(check bool) "whitespace and literals" true
+    (J.parse " { \"t\" : [ true , false , null , 1.5e3 , \"\\u0041\" ] } "
+    = J.Obj [ ("t", J.List [ J.Bool true; J.Bool false; J.Null; J.Float 1500.; J.String "A" ]) ]);
+  List.iter
+    (fun bad ->
+      match J.parse bad with
+      | _ -> Alcotest.failf "accepted malformed %S" bad
+      | exception Failure _ -> ())
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "nan"; "1 2"; "\"open"; "tru"; "-" ]
 
 (* ------------------------------------------------------------------ *)
 (* Sampler golden determinism                                          *)
@@ -289,7 +332,10 @@ let () =
           Alcotest.test_case "with_span on exception" `Quick test_with_span_on_exception;
         ] );
       ( "json",
-        [ Alcotest.test_case "adversarial floats" `Quick test_json_float_adversarial ] );
+        [
+          Alcotest.test_case "adversarial floats" `Quick test_json_float_adversarial;
+          Alcotest.test_case "reader round-trip" `Quick test_json_reader_round_trip;
+        ] );
       ( "end-to-end",
         [
           Alcotest.test_case "golden determinism" `Quick test_golden_trace_determinism;

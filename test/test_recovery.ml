@@ -219,7 +219,8 @@ let test_crash_with_checkpointer () =
       Engine.spawn eng (fun () ->
           ignore (Reorg.Driver.run ctx);
           finished := true);
-      Sim.Checkpointer.spawn ~ctx eng ~db ~every:20 ~stop:(fun () -> !finished);
+      Sched.Daemon.spawn eng ~name:"checkpointer" ~every:20 ~until:(fun () -> !finished)
+        (fun () -> Reorg.Ctx.checkpoint ctx);
       Engine.spawn eng (fun () ->
           Engine.sleep crash_at;
           Engine.stop eng);

@@ -262,9 +262,8 @@ let test_commit_atomicity_sweep () =
 let test_parallel_makespan_scales () =
   let o = Sim.Exp_shard.run_outcome ~n:1600 () in
   List.iter
-    (fun (p : Sim.Probe.shard_point) ->
-      Alcotest.(check int) "one arm per shard" p.Sim.Probe.p_shards
-        (List.length p.Sim.Probe.p_arms))
+    (fun (p, per_shard) ->
+      Alcotest.(check int) "one arm per shard" (Sim.Probe.get p "shards") (List.length per_shard))
     o.Sim.Exp_shard.o_points;
   let m1 = o.Sim.Exp_shard.o_makespan_1 and m4 = o.Sim.Exp_shard.o_makespan_4 in
   Alcotest.(check bool)
