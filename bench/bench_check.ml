@@ -242,3 +242,136 @@ let run d =
   List.filter_map
     (fun (name, gate) -> match gate d with () -> None | exception Fail msg -> Some (name, msg))
     gates
+
+(* `bench compare OLD NEW`: every deterministic figure of the experiments
+   present in both baselines, compared exactly.  An experiment is flattened
+   into (path, value) leaves — object fields by key, arms by label, other
+   array elements by index — and every leaf but [wall_clock_s] must be equal
+   on both sides; a leaf on one side only is a difference too.  Wall-clock
+   (per experiment and per micro-benchmark) is only reported, as a ratio. *)
+
+type comparison = {
+  common : string list;  (** experiments in both files, in OLD's order *)
+  only_old : string list;
+  only_new : string list;
+  diffs : (string * string * J.t option * J.t option) list;
+      (** experiment, leaf path, OLD leaf, NEW leaf ([None]: absent) *)
+  wall : (string * float * float) list;  (** experiment, OLD s, NEW s *)
+  micro : (string * float * float) list;  (** micro-benchmark, OLD ns, NEW ns *)
+}
+
+module SM = Map.Make (String)
+
+let leaves v =
+  let rec go path acc = function
+    | J.Obj fields -> List.fold_left (fun acc (k, x) -> go (path ^ "." ^ k) acc x) acc fields
+    | J.List xs ->
+      snd
+        (List.fold_left
+           (fun (i, acc) x ->
+             let key =
+               match J.member "label" x with Some (J.String l) -> l | _ -> string_of_int i
+             in
+             (i + 1, go (Printf.sprintf "%s[%s]" path key) acc x))
+           (0, acc) xs)
+    | leaf -> SM.add path leaf acc
+  in
+  match v with
+  | J.Obj fields ->
+    List.fold_left
+      (fun acc (k, x) -> if k = "wall_clock_s" then acc else go k acc x)
+      SM.empty fields
+  | _ -> fail "an experiment is not an object"
+
+(* Integer-valued floats print as integers, so numbers compare by value. *)
+let same a b =
+  match (J.to_float a, J.to_float b) with Some x, Some y -> x = y | _ -> a = b
+
+let diff ~old ~new_ =
+  let schema d =
+    let v = int "schema_version" d in
+    ensure (v = schema_version) "schema_version %d, expected %d" v schema_version;
+    obj "experiments" d
+  in
+  let eo = schema old and en = schema new_ in
+  let common = List.filter (fun k -> List.mem_assoc k en) (List.map fst eo) in
+  let missing_from l = List.filter_map (fun (k, _) -> if List.mem_assoc k l then None else Some k) in
+  let diffs =
+    List.concat_map
+      (fun e ->
+        let lo = leaves (List.assoc e eo) and ln = leaves (List.assoc e en) in
+        SM.bindings
+          (SM.merge
+             (fun _ a b ->
+               match (a, b) with
+               | Some x, Some y when same x y -> None
+               | None, None -> None
+               | a, b -> Some (a, b))
+             lo ln)
+        |> List.map (fun (path, (a, b)) -> (e, path, a, b)))
+      common
+  in
+  let wall =
+    List.map
+      (fun e -> (e, num "wall_clock_s" (List.assoc e eo), num "wall_clock_s" (List.assoc e en)))
+      common
+  in
+  let micro_of d =
+    match J.member "micro_ns_per_run" d with
+    | Some (J.Obj l) -> List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (J.to_float v)) l
+    | _ -> []
+  in
+  let mo = micro_of old and mn = micro_of new_ in
+  {
+    common;
+    only_old = missing_from en eo;
+    only_new = missing_from eo en;
+    diffs;
+    wall;
+    micro = List.filter_map (fun (k, a) -> Option.map (fun b -> (k, a, b)) (List.assoc_opt k mn)) mo;
+  }
+
+let show = function
+  | None -> "absent"
+  | Some (J.Int i) -> string_of_int i
+  | Some (J.Float x) ->
+    let b = Buffer.create 24 in
+    J.float b x;
+    Buffer.contents b
+  | Some (J.String s) -> Printf.sprintf "%S" s
+  | Some (J.Bool b) -> string_of_bool b
+  | Some _ -> "null"
+
+(* The report: the differences, then the wall-clock ratios, then a summary
+   line.  [ok] is false exactly when a deterministic figure differs. *)
+let report c =
+  let delta = function
+    | Some (J.Int a), Some (J.Int b) -> Printf.sprintf " (%+d)" (b - a)
+    | _ -> ""
+  in
+  let ratio_line name a b unit =
+    Printf.sprintf "  %-44s %12.1f %s -> %12.1f %s  x%.2f" name a unit b unit
+      (if a > 0.0 then b /. a else Float.nan)
+  in
+  let lines =
+    List.map
+      (fun (e, p, a, b) -> Printf.sprintf "DIFF %s %s: %s -> %s%s" e p (show a) (show b) (delta (a, b)))
+      c.diffs
+    @ (if c.only_old = [] then []
+       else [ "not compared, only in OLD: " ^ String.concat " " c.only_old ])
+    @ (if c.only_new = [] then []
+       else [ "not compared, only in NEW: " ^ String.concat " " c.only_new ])
+    @ [ "wall clock, NEW/OLD (reported, never gated):" ]
+    @ List.map (fun (e, a, b) -> ratio_line e (1000.0 *. a) (1000.0 *. b) "ms") c.wall
+    @ List.map (fun (m, a, b) -> ratio_line m a b "ns") c.micro
+  in
+  let n = List.length c.common in
+  let summary =
+    if c.diffs = [] then
+      Printf.sprintf "bench compare OK: deterministic figures identical in %d experiments" n
+    else
+      let exps = List.sort_uniq compare (List.map (fun (e, _, _, _) -> e) c.diffs) in
+      Printf.sprintf "bench compare FAILED: %d differences in %d of %d experiments (%s)"
+        (List.length c.diffs) (List.length exps) n (String.concat " " exps)
+  in
+  (c.diffs = [], lines @ [ summary ])

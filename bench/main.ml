@@ -8,6 +8,7 @@
      dune exec bench/main.exe table1 swaps recovery
      dune exec bench/main.exe micro      # microbenchmarks only
      dune exec bench/main.exe check F    # the CI gates on a --json baseline
+     dune exec bench/main.exe compare OLD NEW  # exact diff of two baselines
 
    --trace FILE and/or --metrics run an instrumented canonical scenario
    (aged tree, concurrent users) and emit a Chrome trace_event timeline /
@@ -81,16 +82,36 @@ let experiments : (string * string * (unit -> unit)) list =
 open Bechamel
 open Toolkit
 
-let mk_loaded n =
+let mk_loaded ?capacity n =
   let records = List.init n (fun i -> (2 * i, Sim.Db.payload_for (2 * i))) in
-  Sim.Db.load ~fill:0.9 records
+  Sim.Db.load ?capacity ~fill:0.9 records
 
-let bench_btree_search =
-  let db = mk_loaded 20_000 in
+let bench_page_checksum =
+  let p = Pager.Page.create ~size:512 in
+  for i = 0 to 511 do
+    Pager.Page.set_u8 p i (i * 37)
+  done;
+  Test.make ~name:"page.checksum (512 B)"
+    (Staged.stage (fun () -> ignore (Pager.Page.body_checksum p)))
+
+(* Point search over a 20k-record tree (about 1250 leaves), in two arms.
+   Pool-resident: the pool holds the whole tree and every page has been
+   read once, so a search reads no page from disk.  Pool-miss: the default
+   256-frame pool, about 1.7 simulated-disk reads per search, each with its
+   copy, torn-page checksum and eviction. *)
+let btree_search ~arm ?capacity () =
+  let db = mk_loaded ?capacity 20_000 in
+  if capacity <> None then
+    for i = 0 to 19_999 do
+      ignore (Btree.Tree.search db.Sim.Db.tree (2 * i))
+    done;
   let rng = Util.Rng.create 1 in
-  Test.make ~name:"btree.search (20k records)"
+  Test.make ~name:(Printf.sprintf "btree.search (20k, %s)" arm)
     (Staged.stage (fun () ->
          ignore (Btree.Tree.search db.Sim.Db.tree (2 * Util.Rng.int rng 20_000))))
+
+let bench_btree_search_resident = btree_search ~arm:"pool-resident" ~capacity:4096 ()
+let bench_btree_search_miss = btree_search ~arm:"pool-miss" ()
 
 let bench_btree_insert_delete =
   let db = mk_loaded 20_000 in
@@ -169,8 +190,10 @@ let bench_reorg_unit =
 let micro () =
   let tests =
     [
+      bench_page_checksum;
       bench_leaf_insert;
-      bench_btree_search;
+      bench_btree_search_resident;
+      bench_btree_search_miss;
       bench_btree_insert_delete;
       bench_btree_range;
       bench_lock_acquire;
@@ -289,6 +312,20 @@ let check file =
     List.iter (fun (gate, msg) -> Printf.eprintf "bench check FAILED [%s]: %s\n" gate msg) failures;
     exit 1
 
+(* `main.exe compare OLD NEW`: [Bench_check.diff] of two baselines; exit 1
+   when a deterministic figure differs. *)
+let compare_files old_file new_file =
+  let read f = Obs.Json.parse (In_channel.with_open_bin f In_channel.input_all) in
+  match Bench_check.diff ~old:(read old_file) ~new_:(read new_file) with
+  | exception (Sys_error msg | Failure msg | Bench_check.Fail msg) ->
+    Printf.eprintf "bench compare FAILED: %s\n" msg;
+    exit 1
+  | c ->
+    Printf.printf "bench compare %s -> %s\n" old_file new_file;
+    let ok, lines = Bench_check.report c in
+    List.iter print_endline lines;
+    exit (if ok then 0 else 1)
+
 let run_experiment (name, title, f) =
   Printf.printf "\n================================================================\n";
   Printf.printf "%s — %s\n" name title;
@@ -318,6 +355,10 @@ let () =
   | [ "check"; file ] -> check file
   | "check" :: _ ->
     prerr_endline "usage: main.exe check FILE";
+    exit 2
+  | [ "compare"; old_file; new_file ] -> compare_files old_file new_file
+  | "compare" :: _ ->
+    prerr_endline "usage: main.exe compare OLD NEW";
     exit 2
   | _ -> ());
   (* Reject a mistyped target before running anything: a CI target list

@@ -27,6 +27,11 @@ trap 'rm -f "$BENCH_OUT"' EXIT
 BENCH_REV=ci-smoke dune exec bench/main.exe -- --json "$BENCH_OUT" table1 concurrency health shard groupcommit olc >/dev/null
 BENCH_REV=ci-smoke dune exec bench/main.exe -- check "$BENCH_OUT"
 
+# Every deterministic figure of the smoke experiments must equal the newest
+# committed baseline's; a change that moves one commits a new baseline.
+echo "== bench compare (smoke vs committed baseline) =="
+dune exec bench/main.exe -- compare BENCH_9d59836-misscost.json "$BENCH_OUT"
+
 echo "== torture sweep =="
 dune exec bin/reorg_cli.exe -- torture --seed 11 --stride 1 -n 120 >/dev/null
 dune exec bin/reorg_cli.exe -- torture --seed 42 --stride 1 -n 120 >/dev/null

@@ -11,6 +11,18 @@ type frame = {
   mutable slot : int; (* index of this frame's entry in the clock ring *)
 }
 
+(* Every table here is keyed by page id.  An int-specialised table skips the
+   generic structural hash and compare on each lookup; iteration order is
+   irrelevant because every walk over these tables sorts ([flush_all],
+   [dirty_pages]), takes a minimum ([min_rec_lsn]) or edits each entry
+   independently ([discharge_deps_on]). *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash pid = pid land max_int
+end)
+
 type stats = {
   s_hits : int;
   s_misses : int;
@@ -23,7 +35,7 @@ type stats = {
 type t = {
   backend : Backend.t;
   capacity : int;
-  frames : (int, frame) Hashtbl.t;
+  frames : frame Tbl.t;
   (* Clock ring over resident frames, in arrival order.  Entries are pids;
      eviction leaves a [-1] tombstone (O(1) removal) which the next
      growth-time compaction squeezes out. *)
@@ -34,8 +46,8 @@ type t = {
   mutable before_write : int64 -> unit;
   (* blocked pid -> prerequisite pids that must be durable before it may be
      written.  Entries are removed as they are satisfied. *)
-  deps : (int, int list ref) Hashtbl.t;
-  waiters : (int, (unit -> unit) list ref) Hashtbl.t;
+  deps : int list ref Tbl.t;
+  waiters : (unit -> unit) list ref Tbl.t;
   mutable flushes : int;
   mutable hits : int;
   mutable misses : int;
@@ -60,14 +72,14 @@ let create ?(capacity = default_capacity) backend =
   {
     backend;
     capacity;
-    frames = Hashtbl.create 64;
+    frames = Tbl.create 64;
     ring = Array.make 16 (-1);
     ring_len = 0;
     ring_live = 0;
     hand = 0;
     before_write = (fun _ -> ());
-    deps = Hashtbl.create 16;
-    waiters = Hashtbl.create 16;
+    deps = Tbl.create 16;
+    waiters = Tbl.create 16;
     flushes = 0;
     hits = 0;
     misses = 0;
@@ -103,7 +115,7 @@ let register_obs t reg =
   Obs.Registry.gauge reg "pager.dep_flushes" (fun () -> t.dep_flushes);
   Obs.Registry.gauge reg "pager.evictions" (fun () -> t.evictions);
   Obs.Registry.gauge reg "pager.torn_detected" (fun () -> t.torn_detected);
-  Obs.Registry.gauge reg "pager.frames" (fun () -> Hashtbl.length t.frames)
+  Obs.Registry.gauge reg "pager.frames" (fun () -> Tbl.length t.frames)
 
 let backend t = t.backend
 let page_size t = Backend.page_size t.backend
@@ -113,24 +125,24 @@ let torn_detected t = t.torn_detected
 let set_before_write t f = t.before_write <- f
 
 let is_dirty t pid =
-  match Hashtbl.find_opt t.frames pid with Some f -> f.dirty | None -> false
+  match Tbl.find_opt t.frames pid with Some f -> f.dirty | None -> false
 
-let in_pool t pid = Hashtbl.mem t.frames pid
+let in_pool t pid = Tbl.mem t.frames pid
 
 let is_durable t pid = not (is_dirty t pid)
 
 let prereqs t pid =
-  match Hashtbl.find_opt t.deps pid with Some l -> !l | None -> []
+  match Tbl.find_opt t.deps pid with Some l -> !l | None -> []
 
 (* Would adding blocked -> prereq close a cycle?  I.e. can we already reach
    [blocked] from [prereq] through the dependency graph? *)
 let reaches t ~src ~dst =
-  let seen = Hashtbl.create 8 in
+  let seen = Tbl.create 8 in
   let rec go p =
     p = dst
-    || (not (Hashtbl.mem seen p)
+    || (not (Tbl.mem seen p)
         && begin
-             Hashtbl.replace seen p ();
+             Tbl.replace seen p ();
              List.exists go (prereqs t p)
            end)
   in
@@ -141,49 +153,49 @@ let add_dependency ?(force = false) t ~blocked ~prereq =
   if force || not (is_durable t prereq) then begin
     if reaches t ~src:prereq ~dst:blocked then raise (Cycle (blocked, prereq));
     let l =
-      match Hashtbl.find_opt t.deps blocked with
+      match Tbl.find_opt t.deps blocked with
       | Some l -> l
       | None ->
         let l = ref [] in
-        Hashtbl.replace t.deps blocked l;
+        Tbl.replace t.deps blocked l;
         l
     in
     if not (List.mem prereq !l) then l := prereq :: !l
   end
 
-let forget_dependencies t pid = Hashtbl.remove t.deps pid
+let forget_dependencies t pid = Tbl.remove t.deps pid
 
 let fire_waiters t pid =
-  match Hashtbl.find_opt t.waiters pid with
+  match Tbl.find_opt t.waiters pid with
   | None -> ()
   | Some fs ->
-    Hashtbl.remove t.waiters pid;
+    Tbl.remove t.waiters pid;
     List.iter (fun f -> f ()) (List.rev !fs)
 
 let on_durable t pid f =
   if is_durable t pid then f ()
   else
-    match Hashtbl.find_opt t.waiters pid with
+    match Tbl.find_opt t.waiters pid with
     | Some fs -> fs := f :: !fs
-    | None -> Hashtbl.replace t.waiters pid (ref [ f ])
+    | None -> Tbl.replace t.waiters pid (ref [ f ])
 
 (* A write-order constraint is discharged the moment its prerequisite
    reaches disk; leaving it around would manufacture false cycles when the
    (by then durable) pages are recycled by later units. *)
 let discharge_deps_on t pid =
   let empty = ref [] in
-  Hashtbl.iter
+  Tbl.iter
     (fun blocked l ->
       l := List.filter (fun p -> p <> pid) !l;
       if !l = [] then empty := blocked :: !empty)
     t.deps;
-  List.iter (Hashtbl.remove t.deps) !empty
+  List.iter (Tbl.remove t.deps) !empty
 
 let rec flush_frame t fr =
   if fr.dirty then begin
     (* Careful writing: prerequisites first. *)
     let ps = prereqs t fr.pid in
-    Hashtbl.remove t.deps fr.pid;
+    Tbl.remove t.deps fr.pid;
     if ps <> [] then begin
       t.dep_flushes <- t.dep_flushes + List.length ps;
       match t.tracer with
@@ -211,10 +223,10 @@ let rec flush_frame t fr =
   end
 
 and flush_page t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Tbl.find_opt t.frames pid with
   | None ->
     (* Not cached: the disk image is current by definition. *)
-    Hashtbl.remove t.deps pid;
+    Tbl.remove t.deps pid;
     fire_waiters t pid
   | Some fr -> flush_frame t fr
 
@@ -228,7 +240,7 @@ let ring_compact t =
     if i = t.hand then new_hand := !j;
     let pid = t.ring.(i) in
     if pid >= 0 then begin
-      (match Hashtbl.find_opt t.frames pid with Some fr -> fr.slot <- !j | None -> ());
+      (match Tbl.find_opt t.frames pid with Some fr -> fr.slot <- !j | None -> ());
       live.(!j) <- pid;
       incr j
     end
@@ -272,7 +284,7 @@ let evict_one t =
       let pid = t.ring.(t.hand) in
       if pid < 0 then t.hand <- t.hand + 1
       else begin
-        let fr = Hashtbl.find t.frames pid in
+        let fr = Tbl.find t.frames pid in
         if fr.pins > 0 then t.hand <- t.hand + 1
         else if fr.referenced then begin
           fr.referenced <- false;
@@ -289,10 +301,10 @@ let evict_one t =
     t.evictions <- t.evictions + 1;
     ring_remove t fr;
     t.hand <- t.hand + 1;
-    Hashtbl.remove t.frames fr.pid
+    Tbl.remove t.frames fr.pid
 
 let load t pid =
-  if Hashtbl.length t.frames >= t.capacity then evict_one t;
+  if Tbl.length t.frames >= t.capacity then evict_one t;
   let data = Backend.read t.backend pid in
   (* Checksum verification: a stored checksum of 0 means the image was never
      stamped by a pool flush (virgin page, or written around the pool) and is
@@ -332,12 +344,12 @@ let load t pid =
       slot = -1;
     }
   in
-  Hashtbl.replace t.frames pid fr;
+  Tbl.replace t.frames pid fr;
   ring_push t fr;
   fr
 
 let frame t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Tbl.find_opt t.frames pid with
   | Some fr ->
     t.hits <- t.hits + 1;
     fr.referenced <- true;
@@ -348,13 +360,28 @@ let frame t pid =
 
 let get t pid = (frame t pid).data
 
+(* Read-only inspection for observers (the health refresher): leave the hit
+   and miss counts, the referenced bits and the frame set exactly as they
+   were.  A page that is not resident is clean, so its disk image is
+   current; [Backend.peek] reads it without counting a read or passing a
+   fault boundary.  The torn-page check still applies. *)
+let peek t pid =
+  match Tbl.find_opt t.frames pid with
+  | Some fr -> fr.data
+  | None ->
+    let data = Backend.peek t.backend pid in
+    let stored = Page.checksum data in
+    if stored <> 0 && stored <> Page.body_checksum data && not t.read_repair then
+      raise (Torn_page pid);
+    data
+
 let pin t pid =
   let fr = frame t pid in
   fr.pins <- fr.pins + 1;
   fr.data
 
 let unpin t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Tbl.find_opt t.frames pid with
   | Some fr when fr.pins > 0 -> fr.pins <- fr.pins - 1
   | _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
 
@@ -363,7 +390,7 @@ let with_page t pid f =
   Fun.protect ~finally:(fun () -> unpin t pid) (fun () -> f data)
 
 let mark_dirty t pid =
-  match Hashtbl.find_opt t.frames pid with
+  match Tbl.find_opt t.frames pid with
   | Some fr ->
     (* Capture the recovery LSN on the clean->dirty transition: callers stamp
        the page with the mutating record's LSN before marking, so this is the
@@ -377,11 +404,11 @@ let mark_dirty t pid =
   | None -> invalid_arg "Buffer_pool.mark_dirty: page not cached"
 
 let flush_all t =
-  let pids = Hashtbl.fold (fun pid _ acc -> pid :: acc) t.frames [] in
+  let pids = Tbl.fold (fun pid _ acc -> pid :: acc) t.frames [] in
   List.iter (fun pid -> flush_page t pid) (List.sort compare pids)
 
 let dirty_pages t =
-  Hashtbl.fold (fun pid fr acc -> if fr.dirty then pid :: acc else acc) t.frames []
+  Tbl.fold (fun pid fr acc -> if fr.dirty then pid :: acc else acc) t.frames []
   |> List.sort compare
 
 (* Background-flusher entry point: drain up to [limit] dirty frames in
@@ -403,7 +430,7 @@ let flush_elevator ?(limit = max_int) t =
     let max_lsn =
       List.fold_left
         (fun m pid ->
-          match Hashtbl.find_opt t.frames pid with
+          match Tbl.find_opt t.frames pid with
           | Some fr when fr.dirty -> max m (Page.lsn fr.data)
           | _ -> m)
         Int64.min_int batch
@@ -417,21 +444,21 @@ let flush_elevator ?(limit = max_int) t =
 (* Oldest recovery LSN over the dirty frames — together with the active-txn
    and reorg floors, this bounds how far the WAL may be truncated. *)
 let min_rec_lsn t =
-  Hashtbl.fold
+  Tbl.fold
     (fun _ fr acc ->
       if not fr.dirty then acc
       else match acc with None -> Some fr.rec_lsn | Some m -> Some (min m fr.rec_lsn))
     t.frames None
 
 let crash t =
-  Hashtbl.reset t.frames;
-  Hashtbl.reset t.deps;
-  Hashtbl.reset t.waiters;
+  Tbl.reset t.frames;
+  Tbl.reset t.deps;
+  Tbl.reset t.waiters;
   t.ring <- Array.make 16 (-1);
   t.ring_len <- 0;
   t.ring_live <- 0;
   t.hand <- 0;
   t.sweep_pid <- 0
 
-let frame_count t = Hashtbl.length t.frames
+let frame_count t = Tbl.length t.frames
 let flushes t = t.flushes

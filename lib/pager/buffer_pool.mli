@@ -69,6 +69,15 @@ val get : t -> int -> Page.t
     miss.  The caller may mutate the bytes and must then call
     {!mark_dirty}. *)
 
+val peek : t -> int -> Page.t
+(** [peek t pid] returns the page's current contents without touching the
+    pool's state: for a resident page the frame bytes, with no hit counted
+    and the referenced bit left alone; otherwise the disk image through
+    {!Backend.peek}, with no miss, no disk read, no frame loaded and no
+    fault boundary.  The caller must not mutate the result.  A torn disk
+    image raises {!Torn_page} as on a load (outside read-repair mode), but
+    is not counted in {!torn_detected}. *)
+
 val pin : t -> int -> Page.t
 val unpin : t -> int -> unit
 

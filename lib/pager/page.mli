@@ -50,9 +50,10 @@ val checksum : t -> int
 val set_checksum : t -> int -> unit
 
 val body_checksum : t -> int
-(** FNV-1a (32-bit) over bytes [[torn_prefix, size)] — the page LSN and the
-    body.  Never returns 0, so a stamped page always verifies against a
-    nonzero stored value.  The prefix itself (kind, checksum) is {e not}
+(** A 32-bit hash of bytes [[torn_prefix, size)] — the page LSN and the
+    body — read a 64-bit word at a time; any change confined to one word
+    changes the unfolded 64-bit state.  Never returns 0, so a stamped page
+    always verifies against a nonzero stored value.  The prefix itself (kind, checksum) is {e not}
     covered: a torn write that lands the prefix but not the rest is exactly
     what the checksum detects. *)
 

@@ -72,14 +72,15 @@ let assemble ?faults ?(record_locking = false) ?(shard = (0, 1)) ~page_size ~lea
      any shard never collide with any other shard's. *)
   let mgr = Txn_mgr.create ~first_id:(shard_i + 1) ~id_stride:shard_n journal locks in
   (* Tree-health tracking: the pool's dirty hook enqueues every mutated
-     page; the refresher re-reads one page on demand and classifies it.
+     page; the refresher peeks at one page on demand and classifies it,
+     without counting a pool hit, miss or disk read.
      Installed before [mk_tree] so a bulk load's page writes are captured —
      no initial full-tree scan is ever needed. *)
   let health = Obs.Health.create () in
   Buffer_pool.set_dirty_hook pool (Some (fun pid -> Obs.Health.note_dirty health pid));
   let usable = Btree.Layout.usable_bytes ~page_size:(Buffer_pool.page_size pool) in
   Obs.Health.set_refresher health (fun pid ->
-      match Buffer_pool.get pool pid with
+      match Buffer_pool.peek pool pid with
       | p ->
         if Btree.Leaf.is_leaf p then
           Some

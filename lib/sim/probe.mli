@@ -51,9 +51,12 @@ val note_timeseries : Obs.Health.Sampler.snapshot list -> unit
 
 val store_registry : Shard.Store.t -> Obs.Registry.t
 (** A fresh registry holding the store's [disk.*], [pager.*], [lock.*],
-    [wal.*] and [olc.*] gauges.  Reading them has no side effect — unlike
-    [health.*], whose gauges refresh pages through the pool, which is why
-    it is left out. *)
+    [wal.*] and [olc.*] gauges.  [health.*] is left out: its gauges are
+    tree-shape readings rather than work counters, and summing them over
+    stores (several of them per-mille ratios) means nothing.  Reading
+    [health.*] would be harmless to the other figures: its refresher peeks
+    at pages with {!Pager.Buffer_pool.peek}, which counts no pool hit, miss
+    or disk read. *)
 
 val counters : Obs.Registry.t -> counters
 (** Every integer value the registry holds (histograms give their sample

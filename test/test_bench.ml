@@ -232,6 +232,104 @@ let test_bounds_inclusive () =
   Alcotest.(check (list (pair string string))) "bounds are inclusive" []
     (Bench_check.run at_bounds)
 
+(* ------------------------------------------------------------------ *)
+(* bench compare                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let with_micro l d =
+  match d with
+  | J.Obj fields ->
+    J.Obj (fields @ [ ("micro_ns_per_run", J.Obj (List.map (fun (k, v) -> (k, J.Float v)) l)) ])
+  | d -> d
+
+let diffs old new_ =
+  List.map
+    (fun (e, p, a, b) -> (e ^ " " ^ p, Bench_check.show a, Bench_check.show b))
+    (Bench_check.diff ~old ~new_).Bench_check.diffs
+
+let triples = Alcotest.(list (triple string string string))
+
+let test_compare_identical () =
+  let c = Bench_check.diff ~old:base ~new_:base in
+  Alcotest.check triples "no differences" [] (diffs base base);
+  Alcotest.(check (list string)) "every experiment compared, in OLD's order"
+    [ "concurrency"; "health"; "shard"; "groupcommit"; "olc" ] c.Bench_check.common;
+  let ok, lines = Bench_check.report c in
+  Alcotest.(check bool) "ok" true ok;
+  Alcotest.(check string) "summary"
+    "bench compare OK: deterministic figures identical in 5 experiments"
+    (List.nth lines (List.length lines - 1))
+
+(* Wall-clock is reported as a ratio and never makes a difference. *)
+let test_compare_wall_clock_ungated () =
+  let slow =
+    base
+    |> set (exp "shard" [ `K "wall_clock_s" ]) (J.Float 2.0)
+    |> with_micro [ ("page.checksum (512 B)", 400.0); ("old only", 1.0) ]
+  in
+  let fast = base |> with_micro [ ("page.checksum (512 B)", 100.0) ] in
+  let c = Bench_check.diff ~old:slow ~new_:fast in
+  Alcotest.check triples "no differences" [] (diffs slow fast);
+  Alcotest.(check (option (pair (float 0.0) (float 0.0)))) "shard wall clock" (Some (2.0, 0.5))
+    (List.find_map (fun (e, a, b) -> if e = "shard" then Some (a, b) else None) c.Bench_check.wall);
+  Alcotest.(check (list (triple string (float 0.0) (float 0.0)))) "micro in both files"
+    [ ("page.checksum (512 B)", 400.0, 100.0) ] c.Bench_check.micro;
+  Alcotest.(check bool) "ok" true (fst (Bench_check.report c))
+
+(* One changed counter, one changed scalar, one changed timeseries value:
+   each is named by experiment and path, arms by label. *)
+let test_compare_names_differences () =
+  let changed =
+    base
+    |> counter "olc" "olc" "olc.reads" 2380
+    |> scalar "shard" "shards=4/shard=2" "ticks" 23
+    |> set (exp "health" [ `K "timeseries"; `I 1; `K "utilization" ]) (J.Float 0.75)
+  in
+  Alcotest.check triples "differences, by experiment in OLD's order"
+    [
+      ("health timeseries[1].utilization", "0.7", "0.75");
+      ("shard arms[shards=4/shard=2].scalars.ticks", "24", "23");
+      ("olc arms[olc].counters.olc.reads", "2379", "2380");
+    ]
+    (diffs base changed);
+  let ok, lines = Bench_check.report (Bench_check.diff ~old:base ~new_:changed) in
+  Alcotest.(check bool) "not ok" false ok;
+  Alcotest.(check bool) "delta shown" true
+    (List.mem "DIFF olc arms[olc].counters.olc.reads: 2379 -> 2380 (+1)" lines);
+  Alcotest.(check string) "summary"
+    "bench compare FAILED: 3 differences in 3 of 5 experiments (health olc shard)"
+    (List.nth lines (List.length lines - 1))
+
+(* A figure on one side only differs; an experiment on one side only is
+   listed and not compared; numbers compare by value. *)
+let test_compare_presence () =
+  let add_total k v = function
+    | J.Obj f -> J.Obj (f @ [ (k, J.Int v) ])
+    | x -> x
+  in
+  let grown = update (exp "concurrency" [ `K "totals" ]) (add_total "disk.writes" 3) base in
+  Alcotest.check triples "new counter" [ ("concurrency totals.disk.writes", "absent", "3") ]
+    (diffs base grown);
+  Alcotest.check triples "dropped counter" [ ("concurrency totals.disk.writes", "3", "absent") ]
+    (diffs grown base);
+  let fewer =
+    update [ `K "experiments" ]
+      (function J.Obj f -> J.Obj (List.remove_assoc "health" f) | x -> x)
+      base
+  in
+  let changed_health = set (exp "health" [ `K "timeseries" ]) (J.List []) base in
+  let c = Bench_check.diff ~old:changed_health ~new_:fewer in
+  Alcotest.(check int) "health not compared" 0 (List.length c.Bench_check.diffs);
+  Alcotest.(check (list string)) "only in OLD" [ "health" ] c.Bench_check.only_old;
+  let as_float = set (exp "olc" [ `K "arms"; `L "olc"; `K "counters"; `K "olc.reads" ]) (J.Float 2379.0) base in
+  Alcotest.check triples "2379 = 2379.0" [] (diffs base as_float)
+
+let test_compare_schema () =
+  match Bench_check.diff ~old:(set [ `K "schema_version" ] (J.Int 5) base) ~new_:base with
+  | _ -> Alcotest.fail "a v5 file was compared"
+  | exception Bench_check.Fail msg ->
+    Alcotest.(check string) "names the version" "schema_version 5, expected 6" msg
+
 let () =
   Unix.putenv "BENCH_REV" "test";
   Alcotest.run "bench"
@@ -243,4 +341,12 @@ let () =
         :: List.map
              (fun ((g, _, _) as c) -> Alcotest.test_case ("breaks " ^ g) `Quick (test_case_breaks c))
              cases );
+      ( "compare",
+        [
+          Alcotest.test_case "identical files" `Quick test_compare_identical;
+          Alcotest.test_case "wall clock is not gated" `Quick test_compare_wall_clock_ungated;
+          Alcotest.test_case "differences named" `Quick test_compare_names_differences;
+          Alcotest.test_case "one-sided figures and experiments" `Quick test_compare_presence;
+          Alcotest.test_case "schema checked" `Quick test_compare_schema;
+        ] );
     ]

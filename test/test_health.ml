@@ -296,6 +296,35 @@ let test_health_survives_crash () =
   ignore (Reorg.Recovery.restart ~access:db.Sim.Db.access ~config:Reorg.Config.default ());
   check_agrees ~ctx:"after crash + recovery" db
 
+(* Reading the health gauges peeks at the queued pages: a registry dump
+   must not move the pool's or the disk's counters it reports beside them. *)
+let test_dump_leaves_pool_counters () =
+  let db, _ = Sim.Scenario.aged ~capacity:64 ~seed:7 ~n:1500 ~f1:0.3 () in
+  let reg = Obs.Registry.create () in
+  let _ = Sim.Scenario.run_reorg ~registry:reg ~users:2 db in
+  Pager.Disk.register_obs db.Sim.Db.disk reg;
+  let io () =
+    List.filter_map
+      (fun (name, _) ->
+        if String.starts_with ~prefix:"pager." name || String.starts_with ~prefix:"disk." name
+        then Option.map (fun v -> (name, v)) (Obs.Registry.value reg name)
+        else None)
+      (Obs.Registry.sorted reg)
+  in
+  Alcotest.(check bool) "pages queued for the tracker" true
+    (Health.pending_count db.Sim.Db.health > 0);
+  let before = io () in
+  ignore (Obs.Registry.dump reg : string);
+  Alcotest.(check int) "first dump drained the queue" 0 (Health.pending_count db.Sim.Db.health);
+  let once = io () in
+  ignore (Obs.Registry.dump reg : string);
+  let twice = io () in
+  let pairs = Alcotest.(list (pair string int)) in
+  Alcotest.(check bool) "pager.misses and disk.reads read" true
+    (List.mem_assoc "pager.misses" before && List.mem_assoc "disk.reads" before);
+  Alcotest.check pairs "first dump" before once;
+  Alcotest.check pairs "second dump" before twice
+
 let () =
   Alcotest.run "health"
     [
@@ -327,5 +356,7 @@ let () =
           Alcotest.test_case "watch fires into trace" `Quick test_watch_fires_into_trace;
           Alcotest.test_case "probe deltas" `Quick test_sampler_probe_deltas;
           Alcotest.test_case "health survives crash" `Quick test_health_survives_crash;
+          Alcotest.test_case "registry dumps leave pool and disk counters" `Quick
+            test_dump_leaves_pool_counters;
         ] );
     ]

@@ -532,6 +532,175 @@ let test_stats_counter_trace () =
   Alcotest.(check bool) "residents" true
     (Buffer_pool.in_pool pool 0 && Buffer_pool.in_pool pool 2 && not (Buffer_pool.in_pool pool 1))
 
+(* ------------------------------------------------------------------ *)
+(* Torn-page checksum                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let flip p i b = Page.set_u8 p i (Page.get_u8 p i lxor (1 lsl b))
+
+(* Every single-bit flip in the checksummed region [[torn_prefix, size)] —
+   the LSN, the whole words and the tail bytes past the last whole word —
+   changes the checksum; flips in the prefix (kind, stored checksum) do
+   not.  The result is a nonzero 32-bit value every time. *)
+let check_every_flip ~name p =
+  let base = Page.body_checksum p in
+  let valid c = c > 0 && c <= 0xFFFFFFFF in
+  Alcotest.(check bool) (name ^ ": base in [1, 2^32)") true (valid base);
+  for i = 0 to Bytes.length p - 1 do
+    for b = 0 to 7 do
+      flip p i b;
+      let c = Page.body_checksum p in
+      flip p i b;
+      if not (valid c) then Alcotest.failf "%s: byte %d bit %d gives checksum %d" name i b c;
+      if (i >= Page.torn_prefix) = (c = base) then
+        Alcotest.failf "%s: flipping byte %d bit %d %s the checksum" name i b
+          (if c = base then "left" else "changed")
+    done
+  done;
+  Alcotest.(check int) (name ^ ": flips undone") base (Page.body_checksum p)
+
+let test_checksum_single_bit_flips () =
+  let patterned = Page.create ~size:512 in
+  for i = 0 to 511 do
+    Page.set_u8 patterned i ((i * 37) + 11)
+  done;
+  check_every_flip ~name:"patterned" patterned;
+  check_every_flip ~name:"all-zero" (Page.create ~size:512)
+
+let checksum_nonzero_test =
+  QCheck.Test.make ~name:"checksum is a nonzero 32-bit value" ~count:2000
+    QCheck.(pair (int_range 64 600) int)
+    (fun (size, seed) ->
+      let rng = Util.Rng.create seed in
+      let p = Page.create ~size in
+      (* Mostly-zero pages too: sparse leaves are mostly zero bytes. *)
+      let density = Util.Rng.int rng 4 in
+      for i = 0 to size - 1 do
+        if Util.Rng.int rng 4 < density then Page.set_u8 p i (Util.Rng.int rng 256)
+      done;
+      let c = Page.body_checksum p in
+      c > 0 && c <= 0xFFFFFFFF)
+
+(* Random pages almost never hash to 0, so build one that does: run the
+   checksum's word mixing forward over the first 61 whole words, then solve
+   for the 62nd by inverting each step back from a finalized 0.  Every step
+   is a bijection, so the solution exists for any page size with two whole
+   words or more; it must still verify as the nonzero 1. *)
+let test_checksum_zero_maps_to_one () =
+  let ( ^^ ) = Int64.logxor and ( >>> ) = Int64.shift_right_logical and ( ** ) = Int64.mul in
+  let k = 0x9E3779B97F4A7C15L and f = 0xFF51AFD7ED558CCDL in
+  let inv_odd a =
+    let x = ref a in
+    for _ = 1 to 6 do
+      x := !x ** Int64.sub 2L (a ** !x)
+    done;
+    !x
+  in
+  let unshift r y =
+    let x = ref y in
+    for _ = 1 to 64 / r do
+      x := y ^^ (!x >>> r)
+    done;
+    !x
+  in
+  let absorb h w =
+    let h = (h ^^ w) ** k in
+    h ^^ (h >>> 29)
+  in
+  let unabsorb ~before ~after = (unshift 29 after ** inv_odd k) ^^ before in
+  let p = Page.create ~size:512 in
+  for i = Page.torn_prefix to 511 do
+    Page.set_u8 p i (i * 13)
+  done;
+  let word i = Page.torn_prefix + (8 * i) in
+  let h = ref 0x243F6A8885A308D3L in
+  for i = 0 to 60 do
+    h := absorb !h (Bytes.get_int64_le p (word i))
+  done;
+  (* 507 bytes past the prefix: 63 whole words and a 3-byte tail, packed
+     with its length. *)
+  let tail = Int64.of_int ((3 lsl 24) lor (Page.get_u8 p 509 lsl 16)
+                           lor (Page.get_u8 p 510 lsl 8) lor Page.get_u8 p 511) in
+  let before_final = unshift 33 (unshift 32 0L ** inv_odd f) in
+  let after_62 = unabsorb ~before:0L ~after:before_final ^^ tail in
+  let after_61 = unabsorb ~before:0L ~after:after_62 ^^ Bytes.get_int64_le p (word 62) in
+  Bytes.set_int64_le p (word 61) (unabsorb ~before:!h ~after:after_61);
+  Alcotest.(check int) "a page whose hash folds to 0 checksums as 1" 1 (Page.body_checksum p)
+
+(* The frame tables are hashed by page id, so their iteration order depends
+   on the order frames arrived in.  Everything the pool derives from them
+   must not: dirty_pages, flush_all's write order and min_rec_lsn. *)
+let test_frame_order_insensitive () =
+  let pids = Array.init 150 (fun i -> (i * 7) mod 300) in
+  let run seed =
+    let disk = Disk.create ~initial_pages:300 ~page_size:256 () in
+    let pool = Buffer_pool.create ~capacity:300 (Backend.of_disk disk) in
+    let order = Array.copy pids in
+    Util.Rng.shuffle (Util.Rng.create seed) order;
+    Array.iter
+      (fun pid ->
+        let p = Buffer_pool.get pool pid in
+        Page.set_lsn p (Int64.of_int (pid + 1));
+        (* A third of the frames stay clean. *)
+        if pid mod 3 <> 1 then Buffer_pool.mark_dirty pool pid)
+      order;
+    let dirty = Buffer_pool.dirty_pages pool in
+    let min_rec = Buffer_pool.min_rec_lsn pool in
+    let written = ref [] in
+    Buffer_pool.set_before_write pool (fun lsn -> written := Int64.to_int lsn - 1 :: !written);
+    Buffer_pool.flush_all pool;
+    (dirty, min_rec, List.rev !written)
+  in
+  let dirty0, min0, written0 = run 0 in
+  Alcotest.(check (list int)) "dirty pages ascending" (List.sort compare dirty0) dirty0;
+  Alcotest.(check (list int)) "flush_all writes the dirty pages in pid order" dirty0 written0;
+  List.iter
+    (fun seed ->
+      let dirty, min_rec, written = run seed in
+      let ctx = Printf.sprintf "arrival order %d" seed in
+      Alcotest.(check (list int)) (ctx ^ ": dirty_pages") dirty0 dirty;
+      Alcotest.(check (option int64)) (ctx ^ ": min_rec_lsn") min0 min_rec;
+      Alcotest.(check (list int)) (ctx ^ ": flush_all order") written0 written)
+    [ 1; 2; 3; 4; 5 ]
+
+(* peek reads what get would, without moving any counter or clock bit. *)
+let test_peek_leaves_pool_state () =
+  let disk, _ = mk ~pages:8 () in
+  let pool = Buffer_pool.create ~capacity:2 (Backend.of_disk disk) in
+  let p0 = Buffer_pool.get pool 0 in
+  Page.set_u16 p0 uoff 100;
+  Page.set_lsn p0 1L;
+  Buffer_pool.mark_dirty pool 0;
+  Buffer_pool.flush_all pool;
+  ignore (Buffer_pool.get pool 1);
+  (* Sweep the clock once (evicting 0), so 1's referenced bit is clear. *)
+  ignore (Buffer_pool.get pool 2);
+  Alcotest.(check bool) "0 evicted" false (Buffer_pool.in_pool pool 0);
+  let stats0 = Buffer_pool.stats pool and disk0 = Disk.stats disk in
+  Alcotest.(check int) "non-resident peek reads the disk image" 100
+    (Page.get_u16 (Buffer_pool.peek pool 0) uoff);
+  Alcotest.(check bool) "peek loads no frame" false (Buffer_pool.in_pool pool 0);
+  Alcotest.(check bool) "resident peek is the frame" true
+    (Buffer_pool.peek pool 2 == Buffer_pool.get pool 2);
+  ignore (Buffer_pool.peek pool 1);
+  Alcotest.(check int) "no hit but get's" (stats0.Buffer_pool.s_hits + 1)
+    (Buffer_pool.stats pool).Buffer_pool.s_hits;
+  Alcotest.(check int) "no miss" stats0.Buffer_pool.s_misses
+    (Buffer_pool.stats pool).Buffer_pool.s_misses;
+  Alcotest.(check int) "no disk read" disk0.Disk.reads (Disk.stats disk).Disk.reads;
+  (* 1's bit stayed clear through the peek, so 1 is the next victim. *)
+  ignore (Buffer_pool.get pool 3);
+  Alcotest.(check bool) "peeked frame not referenced" false (Buffer_pool.in_pool pool 1);
+  Alcotest.(check bool) "got frame kept" true (Buffer_pool.in_pool pool 2);
+  (* A torn image is refused as on a load, and not counted. *)
+  let img = Disk.peek disk 0 in
+  Page.set_u16 img uoff 101;
+  Disk.write disk 0 img;
+  (match Buffer_pool.peek pool 0 with
+  | _ -> Alcotest.fail "torn image accepted"
+  | exception Buffer_pool.Torn_page 0 -> ());
+  Alcotest.(check int) "torn peek not counted" 0 (Buffer_pool.torn_detected pool)
+
 let () =
   Alcotest.run "pager"
     [
@@ -565,6 +734,15 @@ let () =
           Alcotest.test_case "dirty eviction prereq order" `Quick
             test_dirty_eviction_flushes_prereqs_in_order;
           Alcotest.test_case "counter trace" `Quick test_stats_counter_trace;
+          Alcotest.test_case "frame order insensitive" `Quick test_frame_order_insensitive;
+          Alcotest.test_case "peek leaves pool state" `Quick test_peek_leaves_pool_state;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "every single-bit flip detected" `Quick
+            test_checksum_single_bit_flips;
+          Alcotest.test_case "0 maps to 1" `Quick test_checksum_zero_maps_to_one;
+          QCheck_alcotest.to_alcotest checksum_nonzero_test;
         ] );
       ( "allocator",
         [
